@@ -9,7 +9,9 @@
 //   * framing: encapsulate+stuff+copy (3 allocations) vs fused zero-alloc
 //     encode_into, and a 32-frame batched encode (encode_batch_into) that
 //     amortises per-frame setup — the small-frame case;
-//   * SONET scramblers: bit-serial loops vs table / byte-parallel stepping.
+//   * SONET scramblers: bit-serial loops vs table / byte-parallel stepping;
+//   * flag delineation: hdlc::Delineator's octet push vs its bulk push, over
+//     one idle STS-3c SPE of flag fill and over SPEs full of 1500 B frames.
 //
 // Swept across escape densities {0, 1/128, 0.25, 1.0} and payload sizes
 // {64 B, 1500 B, 9 KB}. Results go to stdout and to a machine-readable
@@ -30,6 +32,7 @@
 //   --quick  short timed windows (~10x faster full sweep; used by the
 //            check.sh / CI bench_compare gate, where the *ratios* matter)
 //   --out    JSON output path (default BENCH_softpath.json)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -42,6 +45,7 @@
 #include "crc/crc_table.hpp"
 #include "fastpath/escape_simd.hpp"
 #include "fastpath/scalar_ref.hpp"
+#include "hdlc/delineation.hpp"
 #include "hdlc/frame.hpp"
 #include "hdlc/stuffing.hpp"
 #include "sonet/scrambler.hpp"
@@ -264,6 +268,34 @@ int run(int argc, char** argv) {
                                  }),
                     measure_mb_s(size, [&] { selfsync.scramble_in_place(buf); })});
   }
+
+  // --- delineation, one STS-3c SPE (2340 octets) per push: idle flag fill,
+  // and a stream of back-to-back 1500 B frames at density 1/128 cut into
+  // SPEs. Throughput is counted in line octets; frame_bytes is the payload
+  // size (0 for idle fill) ---
+  constexpr std::size_t kSpe = 2340;
+  const Bytes idle(kSpe, hdlc::kFlag);
+  Bytes data;
+  for (u64 f = 0; f < 16; ++f) {
+    const Bytes wire =
+        hdlc::build_wire_frame(hdlc::FrameConfig{}, 0x0021, density_payload(1500, 1.0 / 128, 900 + f));
+    data.insert(data.end(), wire.begin() + (data.empty() ? 0 : 1), wire.end());  // shared flags
+  }
+  hdlc::Delineator delineator([](BytesView f) { g_sink = static_cast<u32>(f.size()); });
+  const auto delineate_rows = [&](std::size_t payload_bytes, double density, const Bytes& line) {
+    const BytesView view(line);
+    rows.push_back({"delineate", payload_bytes, density, "bulk", false, line.size(),
+                    measure_mb_s(line.size(),
+                                 [&] {
+                                   for (const u8 b : line) delineator.push(b);
+                                 }),
+                    measure_mb_s(line.size(), [&] {
+                      for (std::size_t at = 0; at < line.size(); at += kSpe)
+                        delineator.push(view.subspan(at, std::min(kSpe, line.size() - at)));
+                    })});
+  };
+  delineate_rows(0, 0.0, idle);
+  delineate_rows(1500, 1.0 / 128, data);
 
   for (const Row& r : rows) print_row(r);
   if (!write_json(rows, out_path)) {

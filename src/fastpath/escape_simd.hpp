@@ -1,5 +1,6 @@
-// Runtime-dispatched SIMD escape engine: HDLC stuff/destuff kernels that
-// stay at or above the scalar baseline at *every* escape density.
+// Runtime-dispatched SIMD escape engine: HDLC stuff/destuff kernels whose
+// startup-dispatched tier stays at or above the scalar baseline at every
+// escape density.
 //
 // The paper's Escape Generate/Detect units keep the hardware pipeline at
 // line rate even when one input word expands to eight output octets (the
@@ -14,8 +15,8 @@
 // group's escape mask — dense traffic costs a table lookup per group, not a
 // branch per octet.
 //
-// Three selection mechanisms stack, so no operating point falls below the
-// scalar baseline:
+// Three selection mechanisms stack, so that under auto-dispatch no
+// operating point falls below the scalar baseline:
 //   * startup dispatch — CPUID picks the widest tier the host supports
 //     (AVX2 > SSSE3 > SSE2 > portable SWAR); P5_ESCAPE_TIER=<name> clamps
 //     it down for testing, and -DP5_FORCE_SCALAR compiles the SIMD tiers
@@ -27,6 +28,12 @@
 //     flagged windows go through the branchless group expand/compress, so
 //     the worst-case all-escape stream degrades to table lookups instead
 //     of mispredicted branches.
+//
+// The guarantee holds for auto-dispatch only. A tier pinned below the
+// startup choice (P5_ESCAPE_TIER, or an EscapeEngine built for an explicit
+// tier) can trail the scalar tier: in BENCH_softpath.json's pinned rows,
+// SWAR or SSE2 destuff falls below pinned scalar at escape density 0.25 or
+// 1.0, which of the two varying from run to run.
 //
 // Per-frame setup (the ACCM-derived classification tables) is hoisted into
 // the EscapeEngine constructor; callers that frame continuously (FrameArena,

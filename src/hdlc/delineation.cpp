@@ -4,6 +4,23 @@
 #include <cstring>
 
 namespace p5::hdlc {
+namespace {
+
+constexpr u64 kFlagWord = 0x7E7E7E7E7E7E7E7Eull;
+
+/// Index of the first non-flag octet at or after `i`: eight octets per
+/// compare while whole words of flags remain, then octet by octet.
+std::size_t skip_flags(const u8* base, std::size_t i, std::size_t n) {
+  for (; i + 8 <= n; i += 8) {
+    u64 word = 0;
+    std::memcpy(&word, base + i, sizeof word);
+    if (word != kFlagWord) break;
+  }
+  while (i < n && base[i] == kFlag) ++i;
+  return i;
+}
+
+}  // namespace
 
 void Delineator::push(BytesView octets) {
   const u8* base = octets.data();
@@ -27,6 +44,11 @@ void Delineator::push(BytesView octets) {
       end_frame();
       in_frame_ = true;
       ++i;
+      // Every further flag of a run closes an empty frame, which is not an
+      // event (end_frame() only clears), so idle fill is stepped over whole.
+      const std::size_t run_end = skip_flags(base, i, n);
+      stats_.octets += run_end - i;
+      i = run_end;
     }
   }
 }

@@ -27,6 +27,7 @@ struct DelineatorStats {
   u64 runts = 0;           ///< inter-flag fragments too short to be frames
   u64 oversize = 0;        ///< frames dropped for exceeding max_frame_octets
   u64 octets = 0;          ///< raw octets consumed
+  bool operator==(const DelineatorStats&) const = default;
 };
 
 class Delineator {
@@ -38,8 +39,9 @@ class Delineator {
       : sink_(std::move(sink)), min_frame_(min_frame), max_frame_(max_frame_octets) {}
 
   void push(u8 octet);
-  /// Bulk push: memchr-scans between flags and appends whole spans, with
-  /// byte-for-byte the same state transitions and stats as the octet loop.
+  /// Bulk push: memchr-scans between flags, appends whole spans and steps
+  /// over flag runs eight octets per compare, with byte-for-byte the same
+  /// state transitions and stats as the octet loop.
   void push(BytesView octets);
 
   /// Treat the stream as ended: any partial frame is dropped.

@@ -3,11 +3,17 @@
 // delineation state machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "hdlc/accm.hpp"
 #include "hdlc/delineation.hpp"
 #include "hdlc/frame.hpp"
 #include "hdlc/stuffing.hpp"
+#include "testing/property.hpp"
 
 namespace p5::hdlc {
 namespace {
@@ -323,6 +329,216 @@ TEST(Delineation, RecoversAfterCorruption) {
   });
   d.push(stream);
   EXPECT_EQ(good, 1);  // the clean frame still gets through
+}
+
+// ---- bulk push vs octet push ----
+//
+// push(u8) is the reference; push(BytesView) must match it frame for frame
+// and in every DelineatorStats field, however the stream is cut.
+
+struct DelineatorRun {
+  std::vector<Bytes> frames;
+  DelineatorStats stats;
+};
+
+std::string describe(const DelineatorStats& s) {
+  return "frames=" + std::to_string(s.frames) + " aborts=" + std::to_string(s.aborts) +
+         " runts=" + std::to_string(s.runts) + " oversize=" + std::to_string(s.oversize) +
+         " octets=" + std::to_string(s.octets);
+}
+
+/// Feed `stream` octet by octet, calling flush() at each offset in
+/// `flush_at` (sorted).
+DelineatorRun run_octets(const Bytes& stream, std::size_t max_frame,
+                         const std::vector<std::size_t>& flush_at = {}) {
+  DelineatorRun r;
+  Delineator d([&](BytesView f) { r.frames.emplace_back(f.begin(), f.end()); }, 4, max_frame);
+  auto next_flush = flush_at.begin();
+  for (std::size_t i = 0; i <= stream.size(); ++i) {
+    for (; next_flush != flush_at.end() && *next_flush == i; ++next_flush) d.flush();
+    if (i < stream.size()) d.push(stream[i]);
+  }
+  r.stats = d.stats();
+  return r;
+}
+
+/// Feed `stream` through push(BytesView), cut at every offset in `cuts`
+/// (sorted); flush() at each offset in `flush_at`, which must also be cuts.
+DelineatorRun run_pieces(const Bytes& stream, std::size_t max_frame,
+                         const std::vector<std::size_t>& cuts,
+                         const std::vector<std::size_t>& flush_at = {}) {
+  DelineatorRun r;
+  Delineator d([&](BytesView f) { r.frames.emplace_back(f.begin(), f.end()); }, 4, max_frame);
+  std::size_t from = 0;
+  auto next_flush = flush_at.begin();
+  auto feed_to = [&](std::size_t to) {
+    d.push(BytesView(stream.data() + from, to - from));
+    from = to;
+    for (; next_flush != flush_at.end() && *next_flush == to; ++next_flush) d.flush();
+  };
+  for (const std::size_t cut : cuts) feed_to(cut);
+  feed_to(stream.size());
+  r.stats = d.stats();
+  return r;
+}
+
+/// `n` octets that are never a flag; escapes are common.
+Bytes non_flag_octets(Xoshiro256& rng, std::size_t n) {
+  Bytes out;
+  for (std::size_t i = 0; i < n; ++i) {
+    u8 b = rng.chance(0.1) ? kEscape : rng.byte();
+    if (b == kFlag) b = 0x5E;
+    out.push_back(b);
+  }
+  return out;
+}
+
+enum class Body { kFrame, kAbort, kRunt, kOversize };
+
+/// Frame content of the given kind (no flags) for a delineator with
+/// min_frame 4 and the given max_frame.
+Bytes body_of(Body kind, Xoshiro256& rng, std::size_t max_frame) {
+  switch (kind) {
+    case Body::kFrame: {
+      Bytes b = non_flag_octets(rng, rng.range(4, max_frame));
+      if (b.back() == kEscape) b.back() = 0x11;
+      return b;
+    }
+    case Body::kAbort: {
+      Bytes b = non_flag_octets(rng, rng.range(1, max_frame - 1));
+      b.push_back(kEscape);
+      return b;
+    }
+    case Body::kRunt: {
+      Bytes b = non_flag_octets(rng, rng.range(1, 3));
+      if (b.back() == kEscape) b.back() = 0x22;
+      return b;
+    }
+    case Body::kOversize:
+      return non_flag_octets(rng, rng.range(max_frame + 1, 2 * max_frame + 8));
+  }
+  return {};
+}
+
+TEST(Delineation, IdleSpeIsSilent) {
+  constexpr std::size_t kSpe = 2340;  // STS-3c SPE payload octets
+  const Bytes idle(kSpe, kFlag);
+  const Bytes frame{1, 2, 3, 4, 5, kEscape, 0x5E, 6, kFlag};  // closed by its own flag
+  for (const bool whole : {true, false}) {
+    Collector c;
+    if (whole) {
+      c.d.push(idle);
+    } else {
+      std::size_t at = 0;
+      for (std::size_t piece = 1; at < kSpe; piece = piece == 13 ? 1 : piece + 2) {
+        const std::size_t n = std::min(piece, kSpe - at);
+        c.d.push(BytesView(idle.data() + at, n));
+        at += n;
+      }
+    }
+    const DelineatorStats& s = c.d.stats();
+    EXPECT_EQ(c.frames.size(), 0u) << "whole=" << whole;
+    EXPECT_EQ(s.frames, 0u);
+    EXPECT_EQ(s.aborts, 0u);
+    EXPECT_EQ(s.runts, 0u);
+    EXPECT_EQ(s.oversize, 0u);
+    EXPECT_EQ(s.octets, kSpe);
+    // The run's last flag opens the next frame.
+    c.d.push(frame);
+    ASSERT_EQ(c.frames.size(), 1u) << "whole=" << whole;
+    EXPECT_EQ(c.frames[0], Bytes(frame.begin(), frame.end() - 1));
+    EXPECT_EQ(c.d.stats().octets, kSpe + frame.size());
+  }
+}
+
+// Every flag-run length 0..24 at every start offset mod 8, after each kind
+// of frame ending, pushed whole and octet by octet.
+TEST(Delineation, BulkMatchesOctetLoopOnEveryRunShape) {
+  constexpr std::size_t kMaxFrame = 16;
+  Xoshiro256 rng(13);
+  for (const Body kind : {Body::kFrame, Body::kAbort, Body::kRunt, Body::kOversize}) {
+    for (std::size_t align = 0; align < 8; ++align) {
+      for (std::size_t run = 0; run <= 24; ++run) {
+        const Bytes body = body_of(kind, rng, kMaxFrame);
+        // Leading garbage sized so that the run starts at offset `align` mod 8.
+        Bytes stream = non_flag_octets(rng, (align + 8 - (body.size() + 2) % 8) % 8);
+        stream.push_back(kFlag);
+        append(stream, body);
+        stream.push_back(kFlag);
+        ASSERT_EQ(stream.size() % 8, align);
+        stream.insert(stream.end(), run, kFlag);
+        append(stream, body_of(Body::kFrame, rng, kMaxFrame));
+        stream.push_back(kFlag);
+
+        const DelineatorRun ref = run_octets(stream, kMaxFrame);
+        std::vector<std::size_t> every_octet;
+        for (std::size_t i = 1; i < stream.size(); ++i) every_octet.push_back(i);
+        for (const auto& cuts : {std::vector<std::size_t>{}, every_octet}) {
+          const DelineatorRun got = run_pieces(stream, kMaxFrame, cuts);
+          const std::string where = "kind " + std::to_string(static_cast<int>(kind)) +
+                                    " align " + std::to_string(align) + " run " +
+                                    std::to_string(run) + " cuts " +
+                                    std::to_string(cuts.size());
+          EXPECT_EQ(got.frames, ref.frames) << where;
+          EXPECT_TRUE(got.stats == ref.stats)
+              << where << ": bulk " << describe(got.stats) << " vs octet "
+              << describe(ref.stats);
+        }
+      }
+    }
+  }
+}
+
+TEST(Delineation, BulkPushMatchesOctetPushProperty) {
+  testing::PropertyOptions opt;
+  opt.cases = 300;
+  opt.seed = 0xDE11EA7Eull;
+  opt.min_size = 1;
+  opt.max_size = 40;
+  const auto res = testing::check_property("delineator_bulk_vs_octet", opt,
+                                           [](testing::CaseContext& c) {
+    Xoshiro256& rng = c.rng;
+    const std::size_t max_frame = rng.range(8, 40);
+    Bytes stream = non_flag_octets(rng, rng.below(12));  // leading garbage
+    std::vector<std::pair<std::size_t, std::size_t>> runs;  // [begin, end) of flag runs
+    for (std::size_t seg = 0; seg < c.size; ++seg) {
+      const u64 pick = rng.below(8);
+      const Body kind = pick == 0   ? Body::kAbort
+                        : pick == 1 ? Body::kRunt
+                        : pick == 2 ? Body::kOversize
+                                    : Body::kFrame;
+      append(stream, body_of(kind, rng, max_frame));
+      const std::size_t begin = stream.size();
+      stream.insert(stream.end(), 1 + rng.below(25), kFlag);  // closing flag + run of 0..24
+      runs.emplace_back(begin, stream.size());
+    }
+
+    std::vector<std::size_t> cuts;
+    for (std::size_t i = 1; i < stream.size(); ++i)
+      if (rng.chance(0.02)) cuts.push_back(i);
+    std::vector<std::size_t> flush_at;
+    for (const auto& [begin, end] : runs) {
+      const std::size_t len = end - begin;
+      if (rng.chance(0.3)) cuts.push_back(begin + rng.below(len + 1));  // inside the run
+      if (rng.chance(0.15))
+        for (std::size_t i = begin; i <= end; ++i) cuts.push_back(i);  // 1-octet pieces
+      if (len > 1 && rng.chance(0.1)) flush_at.push_back(begin + 1 + rng.below(len - 1));
+    }
+    cuts.insert(cuts.end(), flush_at.begin(), flush_at.end());
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    std::sort(flush_at.begin(), flush_at.end());
+
+    const DelineatorRun ref = run_octets(stream, max_frame, flush_at);
+    const DelineatorRun got = run_pieces(stream, max_frame, cuts, flush_at);
+    if (got.frames != ref.frames)
+      return c.fail("delivered frames differ: bulk " + std::to_string(got.frames.size()) +
+                    " vs octet " + std::to_string(ref.frames.size()));
+    if (got.stats != ref.stats)
+      return c.fail("stats differ: bulk " + describe(got.stats) + " vs octet " +
+                    describe(ref.stats));
+  });
+  EXPECT_TRUE(res.ok) << res.message;
 }
 
 }  // namespace

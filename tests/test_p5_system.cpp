@@ -15,9 +15,14 @@
 namespace p5::core {
 namespace {
 
+// GoogleTest names each case by dumping this struct's raw bytes; the pad is
+// spelled out so no uninitialised byte leaks into the test name.
 struct LoopbackParam {
+  LoopbackParam(unsigned l, net::PayloadPattern p, double d) : lanes(l), pattern(p), density(d) {}
+
   unsigned lanes;
   net::PayloadPattern pattern;
+  u8 pad[3] = {};
   double density;
 };
 
