@@ -4,14 +4,17 @@
 // line rate): PPP octet stream -> x^43+1 payload scrambling -> SPE mapping
 // -> frame-synchronous scrambling -> an optical line with injected bit
 // errors -> deframing -> the peer P5's receive pipeline. IMIX traffic runs
-// both ways and the error accounting at every layer is reported.
+// both ways and the error accounting at every layer is reported. Every
+// datagram B delivers is recorded to gigabit_link.pcap in the current
+// directory (PPP linktype, as p5_tunnel --pcap-out writes; tcpdump -r reads
+// it), stamped with B's cycle count at the P5 clock.
 //
 //   build/examples/gigabit_link [ber]    (default ber = 1e-6)
 #include <cstdio>
 #include <cstdlib>
 #include <set>
 
-#include "net/capture.hpp"
+#include "net/capture/tap.hpp"
 #include "net/traffic.hpp"
 #include "p5/sonet_link.hpp"
 
@@ -31,13 +34,20 @@ int main(int argc, char** argv) {
               link.sts().line_rate_mbps(), link.sts().payload_rate_mbps(), ber);
 
   // Sinks checking payload integrity against what was sent; B also records
-  // a frame capture for offline inspection.
+  // a pcap for offline inspection, each record ff 03 proto payload.
   std::set<Bytes> outstanding_ab, outstanding_ba;
   u64 delivered_ab = 0, delivered_ba = 0, corrupted = 0;
-  net::Capture capture;
+  const char* const pcap_path = "gigabit_link.pcap";
+  net::capture::CaptureTap capture({.nsec = true, .linktype = net::capture::kLinkPpp});
+  // A file that cannot be created turns every record into a counted drop.
+  (void)capture.open(pcap_path);
+  Bytes record;
   link.b().set_rx_sink([&](core::RxDelivery d) {
     ++delivered_ab;
-    capture.record(link.b().cycle(), net::Direction::kRx, d.protocol, d.payload);
+    record.assign({0xff, 0x03, static_cast<u8>(d.protocol >> 8), static_cast<u8>(d.protocol)});
+    append(record, d.payload);
+    const double ns = static_cast<double>(link.b().cycle()) * 1e3 / cfg.clock_mhz;
+    capture.record_at(static_cast<u64>(ns), record);
     if (outstanding_ab.erase(d.payload) == 0) ++corrupted;
   });
   link.a().set_rx_sink([&](core::RxDelivery d) {
@@ -97,9 +107,11 @@ int main(int argc, char** argv) {
   report_p5("P5 A", link.a());
   report_p5("P5 B", link.b());
 
-  capture.save("gigabit_link.p5ca");
-  std::printf("\nfirst frames at B (capture saved to gigabit_link.p5ca):\n%s",
-              capture.summary(5).c_str());
+  capture.close();
+  const net::capture::TapStats tap = capture.stats();
+  std::printf("\ncapture: %s — %llu datagrams delivered at B recorded, %llu not recorded\n",
+              pcap_path, static_cast<unsigned long long>(tap.records),
+              static_cast<unsigned long long>(tap.drops));
 
   if (corrupted != 0) {
     std::printf("\nFAIL: corrupted datagrams slipped through the FCS\n");

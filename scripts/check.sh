@@ -14,7 +14,8 @@
 #             --pcap quick gate vs the committed BENCH_capture.json
 #   tier      device-tier matrix: transport+conformance suites re-run with
 #             P5_DEVICE_TIER forced to cycle, then fast, then fast with
-#             P5_ESCAPE_TIER=scalar (fast tier on the scalar escape engine)
+#             P5_ESCAPE_TIER=scalar (fast tier on the scalar escape tier,
+#             the one non-x86 and pre-SSSE3 hosts run)
 #   asan      ASan+UBSan build + full ctest            (build-asan/)
 #   tsan      TSan build + the threaded suites         (build-tsan/)
 #   bench     smoke run of every registered bench      (build/, ctest -L bench)
@@ -145,12 +146,12 @@ if want bench; then
   (cd build && ctest -L bench --output-on-failure -j)
   echo
   echo "== bench gate: quick softpath sweep vs committed baseline =="
-  # The gate compares *speedup ratios* (new/old measured in the same run),
-  # which survive host differences; the wide tolerance absorbs the noise of
-  # --quick windows on shared runners while still catching a collapsed
-  # dispatch tier (losing SIMD costs far more than 50%). For a careful
-  # same-host check, run the bench without --quick and compare with the
-  # default 15% tolerance.
+  # The gate compares *speedup ratios* (new/old timed in interleaved
+  # windows of the same run), which survive host differences; the wide
+  # tolerance absorbs the noise of --quick windows on shared runners while
+  # still catching a collapsed dispatch tier (losing SIMD costs far more
+  # than 50%). For a careful same-host check, run the bench without --quick
+  # and compare with the default 15% tolerance.
   ./build/bench/bench_softpath --quick --out build/BENCH_softpath.fresh.json > /dev/null
   python3 scripts/bench_compare.py build/BENCH_softpath.fresh.json BENCH_softpath.json \
     --tolerance 0.5

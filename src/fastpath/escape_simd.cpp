@@ -5,12 +5,10 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "fastpath/stuff_fast.hpp"
-
-// SIMD tiers are x86-64 only (the portable SWAR/scalar tiers cover everything
-// else) and use GCC/Clang target attributes so no global -mavx2 is needed:
-// each kernel is compiled for its own ISA and only ever called after CPUID
-// dispatch proves the host supports it.
+// SIMD tiers are x86-64 only (the scalar tier covers everything else) and
+// use GCC/Clang target attributes so no global -mavx2 is needed: each kernel
+// is compiled for its own ISA and only ever called after CPUID dispatch
+// proves the host supports it.
 #if !defined(P5_FORCE_SCALAR) && defined(__x86_64__) && defined(__GNUC__)
 #define P5_ESCAPE_SIMD 1
 #include <immintrin.h>
@@ -150,99 +148,15 @@ constexpr std::array<std::array<u8, 16>, 9> make_shift_up_table() {
 constexpr std::array<std::array<u8, 16>, 9> kShiftUp = make_shift_up_table();
 
 // ---------------------------------------------------------------------------
-// Exact scalar paths (the kScalar tier, small frames, and vector tails).
+// Exact scalar loops (the kScalar tier, small frames, and vector tails),
+// writing through a raw cursor into space the caller has already sized.
 // Byte-identical to fastpath::scalar:: by construction.
 // ---------------------------------------------------------------------------
 
-void stuff_scalar(Bytes& out, BytesView data, const EscapeClassTables& t) {
-  for (const u8 b : data) {
-    if (t.cls[b]) {
-      out.push_back(hdlc::kEscape);
-      out.push_back(static_cast<u8>(b ^ hdlc::kXor));
-    } else {
-      out.push_back(b);
-    }
-  }
-}
-
-bool destuff_scalar(Bytes& out, BytesView data) {
-  bool esc = false;
-  for (const u8 b : data) {
-    if (esc) {
-      out.push_back(static_cast<u8>(b ^ hdlc::kXor));
-      esc = false;
-    } else if (b == hdlc::kEscape) {
-      esc = true;
-    } else {
-      out.push_back(b);
-    }
-  }
-  return !esc;
-}
-
-u32 stuff_crc_scalar(Bytes& out, BytesView data, const EscapeClassTables& t, const SliceCrc& crc,
-                     u32 state) {
-  for (const u8 b : data) {
-    state = crc.update_byte(state, b);
-    if (t.cls[b]) {
-      out.push_back(hdlc::kEscape);
-      out.push_back(static_cast<u8>(b ^ hdlc::kXor));
-    } else {
-      out.push_back(b);
-    }
-  }
-  return state & crc.spec().mask();
-}
-
-inline void count_window(TierCounters& c, unsigned popcnt) {
-  if (popcnt <= 2)
-    ++c.sparse_windows;
-  else
-    ++c.dense_windows;
-}
-
-#if P5_ESCAPE_SIMD
-
-// ---------------------------------------------------------------------------
-// SSE2 tier: vector escape *detection* only (no pshufb), exact scalar emit on
-// flagged windows. With a nonzero ACCM the detector over-approximates (all
-// control octets flag the window); the scalar emit applies the exact class
-// table, so the wire image is still exact.
-// ---------------------------------------------------------------------------
-
-inline unsigned detect16_sse2(__m128i v, bool controls) {
-  __m128i m = _mm_or_si128(_mm_cmpeq_epi8(v, _mm_set1_epi8(static_cast<char>(hdlc::kFlag))),
-                           _mm_cmpeq_epi8(v, _mm_set1_epi8(static_cast<char>(hdlc::kEscape))));
-  if (controls)
-    m = _mm_or_si128(m, _mm_cmpeq_epi8(_mm_min_epu8(v, _mm_set1_epi8(0x1F)), v));
-  return static_cast<unsigned>(_mm_movemask_epi8(m));
-}
-
-std::size_t stuff_sse2(u8* dst, const u8* p, std::size_t n, const EscapeClassTables& t,
-                       TierCounters& c) {
+/// Stuff p[0..n) into dst (room for 2n octets); returns octets written.
+inline std::size_t stuff_octets(u8* dst, const u8* p, std::size_t n, const EscapeClassTables& t) {
   std::size_t w = 0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    const unsigned mask = detect16_sse2(v, t.has_controls);
-    if (mask == 0) {
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + w), v);
-      w += 16;
-      ++c.clean_windows;
-      continue;
-    }
-    count_window(c, static_cast<unsigned>(std::popcount(mask)));
-    for (std::size_t k = i; k < i + 16; ++k) {
-      const u8 b = p[k];
-      if (t.cls[b]) {
-        dst[w++] = hdlc::kEscape;
-        dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
-      } else {
-        dst[w++] = b;
-      }
-    }
-  }
-  for (; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const u8 b = p[i];
     if (t.cls[b]) {
       dst[w++] = hdlc::kEscape;
@@ -254,53 +168,33 @@ std::size_t stuff_sse2(u8* dst, const u8* p, std::size_t n, const EscapeClassTab
   return w;
 }
 
-bool destuff_sse2(u8* dst, const u8* p, std::size_t n, std::size_t& w_out, TierCounters& c) {
+/// Destuff p[0..n) into dst (room for n octets); returns octets written.
+/// `pending` carries an escape in from the previous window and out as a
+/// dangling escape at the end of the input.
+inline std::size_t destuff_octets(u8* dst, const u8* p, std::size_t n, unsigned& pending) {
   std::size_t w = 0;
-  std::size_t i = 0;
-  bool pending = false;
-  const __m128i escv = _mm_set1_epi8(static_cast<char>(hdlc::kEscape));
-  while (i + 16 <= n) {
-    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    const unsigned mask =
-        static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(v, escv)));
-    if (mask == 0 && !pending) {
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + w), v);
-      w += 16;
-      i += 16;
-      ++c.clean_windows;
-      continue;
-    }
-    count_window(c, static_cast<unsigned>(std::popcount(mask)));
-    // Dirty-window hysteresis: without pshufb the emit is scalar anyway, so
-    // skip re-detection for the next few windows — dense streams then pay
-    // one vector probe per 64 octets instead of per 16.
-    const std::size_t stop = std::min(i + 64, n);
-    for (; i < stop; ++i) {
-      const u8 b = p[i];
-      if (pending) {
-        dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
-        pending = false;
-      } else if (b == hdlc::kEscape) {
-        pending = true;
-      } else {
-        dst[w++] = b;
-      }
-    }
-  }
-  for (; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const u8 b = p[i];
     if (pending) {
       dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
-      pending = false;
+      pending = 0;
     } else if (b == hdlc::kEscape) {
-      pending = true;
+      pending = 1;
     } else {
       dst[w++] = b;
     }
   }
-  w_out = w;
-  return !pending;
+  return w;
 }
+
+inline void count_window(TierCounters& c, unsigned popcnt) {
+  if (popcnt <= 2)
+    ++c.sparse_windows;
+  else
+    ++c.dense_windows;
+}
+
+#if P5_ESCAPE_SIMD
 
 // ---------------------------------------------------------------------------
 // SSSE3 tier: exact vector classification (ACCM nibble tables through pshufb)
@@ -387,16 +281,7 @@ __attribute__((target("ssse3"))) std::size_t stuff_ssse3(u8* dst, const u8* p, s
     w = stuff_group(dst, w, v, mask);
     w = stuff_group(dst, w, _mm_srli_si128(v, 8), mask >> 8);
   }
-  for (; i < n; ++i) {
-    const u8 b = p[i];
-    if (t.cls[b]) {
-      dst[w++] = hdlc::kEscape;
-      dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
-    } else {
-      dst[w++] = b;
-    }
-  }
-  return w;
+  return w + stuff_octets(dst + w, p + i, n - i, t);
 }
 
 __attribute__((target("ssse3"))) bool destuff_ssse3(u8* dst, const u8* p, std::size_t n,
@@ -419,18 +304,7 @@ __attribute__((target("ssse3"))) bool destuff_ssse3(u8* dst, const u8* p, std::s
     const MarkerResolve r = resolve_markers(mask, 16, pending);
     w = destuff16(dst, w, v, r.markers, r.escaped);
   }
-  for (; i < n; ++i) {
-    const u8 b = p[i];
-    if (pending) {
-      dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
-      pending = 0;
-    } else if (b == hdlc::kEscape) {
-      pending = 1;
-    } else {
-      dst[w++] = b;
-    }
-  }
-  w_out = w;
+  w_out = w + destuff_octets(dst + w, p + i, n - i, pending);
   return pending == 0;
 }
 
@@ -485,16 +359,7 @@ __attribute__((target("avx2"))) std::size_t stuff_avx2(u8* dst, const u8* p, std
     w = stuff_group(dst, w, hi, mask >> 16);
     w = stuff_group(dst, w, _mm_srli_si128(hi, 8), mask >> 24);
   }
-  for (; i < n; ++i) {
-    const u8 b = p[i];
-    if (t.cls[b]) {
-      dst[w++] = hdlc::kEscape;
-      dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
-    } else {
-      dst[w++] = b;
-    }
-  }
-  return w;
+  return w + stuff_octets(dst + w, p + i, n - i, t);
 }
 
 __attribute__((target("avx2"))) bool destuff_avx2(u8* dst, const u8* p, std::size_t n,
@@ -518,18 +383,7 @@ __attribute__((target("avx2"))) bool destuff_avx2(u8* dst, const u8* p, std::siz
     w = destuff16(dst, w, _mm256_castsi256_si128(v), r.markers, r.escaped);
     w = destuff16(dst, w, _mm256_extracti128_si256(v, 1), r.markers >> 16, r.escaped >> 16);
   }
-  for (; i < n; ++i) {
-    const u8 b = p[i];
-    if (pending) {
-      dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
-      pending = 0;
-    } else if (b == hdlc::kEscape) {
-      pending = 1;
-    } else {
-      dst[w++] = b;
-    }
-  }
-  w_out = w;
+  w_out = w + destuff_octets(dst + w, p + i, n - i, pending);
   return pending == 0;
 }
 
@@ -537,8 +391,6 @@ __attribute__((target("avx2"))) bool destuff_avx2(u8* dst, const u8* p, std::siz
 
 EscapeTier parse_tier(const char* name, EscapeTier fallback) {
   if (std::strcmp(name, "scalar") == 0) return EscapeTier::kScalar;
-  if (std::strcmp(name, "swar") == 0) return EscapeTier::kSwar;
-  if (std::strcmp(name, "sse2") == 0) return EscapeTier::kSse2;
   if (std::strcmp(name, "ssse3") == 0) return EscapeTier::kSsse3;
   if (std::strcmp(name, "avx2") == 0) return EscapeTier::kAvx2;
   return fallback;
@@ -549,8 +401,6 @@ EscapeTier parse_tier(const char* name, EscapeTier fallback) {
 const char* to_string(EscapeTier tier) {
   switch (tier) {
     case EscapeTier::kScalar: return "scalar";
-    case EscapeTier::kSwar: return "swar";
-    case EscapeTier::kSse2: return "sse2";
     case EscapeTier::kSsse3: return "ssse3";
     case EscapeTier::kAvx2: return "avx2";
   }
@@ -562,13 +412,11 @@ EscapeTier detected_tier() {
   static const EscapeTier tier = [] {
     if (__builtin_cpu_supports("avx2")) return EscapeTier::kAvx2;
     if (__builtin_cpu_supports("ssse3")) return EscapeTier::kSsse3;
-    return EscapeTier::kSse2;  // x86-64 baseline
+    return EscapeTier::kScalar;
   }();
   return tier;
-#elif defined(P5_FORCE_SCALAR)
-  return EscapeTier::kScalar;
 #else
-  return EscapeTier::kSwar;
+  return EscapeTier::kScalar;
 #endif
 }
 
@@ -605,86 +453,58 @@ EscapeEngine::EscapeEngine(hdlc::Accm accm, EscapeTier tier) : accm_(accm) {
 
 void EscapeEngine::stuff_append(Bytes& out, BytesView data) const {
   const std::size_t n = data.size();
-  if (n < kSmallFrameCutoff || tier_ == EscapeTier::kScalar) {
-    ++counters_.scalar_calls;
-    stuff_scalar(out, data, tables_);
-    return;
-  }
-  if (tier_ == EscapeTier::kSwar) {
-    ++counters_.swar_calls;
-    fastpath::stuff_append(out, data, accm_);
-    return;
-  }
-#if P5_ESCAPE_SIMD
-  ++counters_.simd_calls;
   const std::size_t base = out.size();
   out.resize(base + 2 * n + kStuffSlack);
   u8* dst = out.data() + base;
-  std::size_t w = 0;
-  switch (tier_) {
-    case EscapeTier::kAvx2: w = stuff_avx2(dst, data.data(), n, tables_, counters_); break;
-    case EscapeTier::kSsse3: w = stuff_ssse3(dst, data.data(), n, tables_, counters_); break;
-    default: w = stuff_sse2(dst, data.data(), n, tables_, counters_); break;
+#if P5_ESCAPE_SIMD
+  if (n >= kSmallFrameCutoff && tier_ != EscapeTier::kScalar) {
+    ++counters_.simd_calls;
+    const std::size_t w = tier_ == EscapeTier::kAvx2
+                              ? stuff_avx2(dst, data.data(), n, tables_, counters_)
+                              : stuff_ssse3(dst, data.data(), n, tables_, counters_);
+    out.resize(base + w);
+    return;
   }
-  out.resize(base + w);
-#else
-  // tier_ is clamped to detected_tier(), so SIMD tiers are unreachable here.
-  ++counters_.swar_calls;
-  fastpath::stuff_append(out, data, accm_);
 #endif
+  ++counters_.scalar_calls;
+  out.resize(base + stuff_octets(dst, data.data(), n, tables_));
 }
 
 bool EscapeEngine::destuff_append(Bytes& out, BytesView data) const {
   const std::size_t n = data.size();
-  if (n < kSmallFrameCutoff || tier_ == EscapeTier::kScalar) {
-    ++counters_.scalar_calls;
-    return destuff_scalar(out, data);
-  }
-  if (tier_ == EscapeTier::kSwar) {
-    ++counters_.swar_calls;
-    return fastpath::destuff_append(out, data);
-  }
-#if P5_ESCAPE_SIMD
-  ++counters_.simd_calls;
   const std::size_t base = out.size();
   out.resize(base + n + kStuffSlack);
   u8* dst = out.data() + base;
-  std::size_t w = 0;
-  bool ok = false;
-  switch (tier_) {
-    case EscapeTier::kAvx2: ok = destuff_avx2(dst, data.data(), n, w, counters_); break;
-    case EscapeTier::kSsse3: ok = destuff_ssse3(dst, data.data(), n, w, counters_); break;
-    default: ok = destuff_sse2(dst, data.data(), n, w, counters_); break;
+#if P5_ESCAPE_SIMD
+  if (n >= kSmallFrameCutoff && tier_ != EscapeTier::kScalar) {
+    ++counters_.simd_calls;
+    std::size_t w = 0;
+    const bool ok = tier_ == EscapeTier::kAvx2 ? destuff_avx2(dst, data.data(), n, w, counters_)
+                                               : destuff_ssse3(dst, data.data(), n, w, counters_);
+    out.resize(base + w);
+    return ok;
   }
-  out.resize(base + w);
-  return ok;
-#else
-  ++counters_.swar_calls;
-  return fastpath::destuff_append(out, data);
 #endif
+  ++counters_.scalar_calls;
+  unsigned pending = 0;
+  out.resize(base + destuff_octets(dst, data.data(), n, pending));
+  return pending == 0;
 }
 
 u32 EscapeEngine::stuff_crc_append(Bytes& out, BytesView data, const SliceCrc& crc,
                                    u32 state) const {
-  const std::size_t n = data.size();
-  if (n < kSmallFrameCutoff || tier_ == EscapeTier::kScalar) {
-    ++counters_.scalar_calls;
-    return stuff_crc_scalar(out, data, tables_, crc, state);
-  }
-  if (tier_ == EscapeTier::kSwar) {
-    ++counters_.swar_calls;
-    return fastpath::stuff_crc_append(out, data, accm_, crc, state);
-  }
-  // SIMD tiers: two vector passes (slicing-by-8 FCS, then stuff) — the FCS
-  // covers the *unstuffed* octets, so the passes are independent and each
-  // runs at its full word-parallel rate.
+  // Two passes (sliced FCS, then stuff): the FCS covers the *unstuffed*
+  // octets, so the passes are independent and each runs at its full
+  // word-parallel rate.
   state = crc.update(state, data);
   stuff_append(out, data);
   return state;
 }
 
 std::size_t EscapeEngine::count_escapes(BytesView data) const {
-  return fastpath::count_escapes(data, accm_);
+  std::size_t count = 0;
+  for (const u8 b : data) count += tables_.cls[b];
+  return count;
 }
 
 }  // namespace p5::fastpath

@@ -4,23 +4,29 @@
 //
 // The paper's Escape Generate/Detect units keep the hardware pipeline at
 // line rate even when one input word expands to eight output octets (the
-// byte-sorter crossbar absorbs the expansion). The SWAR software fast path
-// had the inverse problem: its skip-scan is superb on escape-free runs but
-// regresses below the scalar seed once a quarter of the octets escape,
-// because every flagged word falls back to a fresh byte-at-a-time patch.
-// This engine closes that gap with compress/expand vector kernels in the
-// byte-sorter spirit: escape positions are found 16/32 octets at a time
-// with movemask, and flagged 8-octet groups are expanded (stuff) or
-// compacted (destuff) branchlessly through pshufb tables indexed by the
-// group's escape mask — dense traffic costs a table lookup per group, not a
-// branch per octet.
+// byte-sorter crossbar absorbs the expansion). A plain word-at-a-time skip
+// scan has the inverse problem: superb on escape-free runs, but below the
+// scalar loop once a quarter of the octets escape, because every flagged
+// word falls back to a byte-at-a-time patch. This engine avoids that with
+// compress/expand vector kernels in the byte-sorter spirit: escape positions
+// are found 16/32 octets at a time with movemask, and flagged 8-octet groups
+// are expanded (stuff) or compacted (destuff) branchlessly through pshufb
+// tables indexed by the group's escape mask — dense traffic costs a table
+// lookup per group, not a branch per octet.
+//
+// Three tiers, one mechanism each: kScalar (the exact per-octet loop over
+// the ACCM class table), kSsse3 (16-octet windows) and kAvx2 (32-octet
+// windows; flagged windows reuse the SSSE3 group kernels). SSSE3 is the only
+// pre-AVX2 fallback: against the SWAR and SSE2 tiers the engine once had, it
+// was within 15% at low escape densities and up to 4x faster at high ones.
+// A host without SSSE3, a non-x86 build and a -DP5_FORCE_SCALAR build run
+// the scalar tier.
 //
 // Three selection mechanisms stack, so that under auto-dispatch no
 // operating point falls below the scalar baseline:
 //   * startup dispatch — CPUID picks the widest tier the host supports
-//     (AVX2 > SSSE3 > SSE2 > portable SWAR); P5_ESCAPE_TIER=<name> clamps
-//     it down for testing, and -DP5_FORCE_SCALAR compiles the SIMD tiers
-//     out entirely;
+//     (AVX2 > SSSE3 > scalar); P5_ESCAPE_TIER=<name> clamps it down for
+//     testing, and -DP5_FORCE_SCALAR compiles the SIMD tiers out entirely;
 //   * per-call size gate — frames shorter than one vector window take the
 //     exact scalar loop (no setup to amortize);
 //   * per-window density adaptation — each 16/32-octet window's escape
@@ -29,11 +35,9 @@
 //     the worst-case all-escape stream degrades to table lookups instead
 //     of mispredicted branches.
 //
-// The guarantee holds for auto-dispatch only. A tier pinned below the
+// The guarantee holds for auto-dispatch only: a tier pinned below the
 // startup choice (P5_ESCAPE_TIER, or an EscapeEngine built for an explicit
-// tier) can trail the scalar tier: in BENCH_softpath.json's pinned rows,
-// SWAR or SSE2 destuff falls below pinned scalar at escape density 0.25 or
-// 1.0, which of the two varying from run to run.
+// tier) runs that tier's kernels whatever their speed on the host.
 //
 // Per-frame setup (the ACCM-derived classification tables) is hoisted into
 // the EscapeEngine constructor; callers that frame continuously (FrameArena,
@@ -50,9 +54,9 @@
 
 namespace p5::fastpath {
 
-/// Dispatch tiers, widest last. kScalar/kSwar are portable; the rest are
-/// x86-only and compiled out under P5_FORCE_SCALAR.
-enum class EscapeTier : u8 { kScalar = 0, kSwar = 1, kSse2 = 2, kSsse3 = 3, kAvx2 = 4 };
+/// Dispatch tiers, widest last. kScalar is portable; the rest are x86-only
+/// and compiled out under P5_FORCE_SCALAR.
+enum class EscapeTier : u8 { kScalar = 0, kSsse3 = 1, kAvx2 = 2 };
 
 [[nodiscard]] const char* to_string(EscapeTier tier);
 
@@ -60,7 +64,7 @@ enum class EscapeTier : u8 { kScalar = 0, kSwar = 1, kSse2 = 2, kSsse3 = 3, kAvx
 [[nodiscard]] EscapeTier detected_tier();
 
 /// detected_tier() clamped down by the P5_ESCAPE_TIER environment variable
-/// ("scalar", "swar", "sse2", "ssse3", "avx2"); the startup dispatch result.
+/// ("scalar", "ssse3", "avx2"); the startup dispatch result.
 [[nodiscard]] EscapeTier best_tier();
 
 /// Every tier that can run on this host, narrowest first (for sweep tests
@@ -81,7 +85,6 @@ inline constexpr std::size_t kSmallFrameCutoff = 16;
 /// endpoint / channel owns its own).
 struct TierCounters {
   u64 scalar_calls = 0;
-  u64 swar_calls = 0;
   u64 simd_calls = 0;
   u64 clean_windows = 0;   ///< escape-free vector windows (bulk-copied)
   u64 sparse_windows = 0;  ///< windows with 1-2 escapes
@@ -107,7 +110,7 @@ class EscapeEngine {
   [[nodiscard]] EscapeTier tier() const { return tier_; }
 
   /// Append the stuffed image of `data` to `out` (byte-identical to the
-  /// scalar reference and the SWAR kernels).
+  /// scalar reference at every tier).
   void stuff_append(Bytes& out, BytesView data) const;
 
   /// Append the destuffed image of `data` (no flags) to `out`; false on a
@@ -119,7 +122,8 @@ class EscapeEngine {
   [[nodiscard]] u32 stuff_crc_append(Bytes& out, BytesView data, const SliceCrc& crc,
                                      u32 state) const;
 
-  /// Exact number of octets stuffing would add.
+  /// Exact number of octets stuffing would add (one class-table lookup per
+  /// octet; for sizing and density statistics, not the hot path).
   [[nodiscard]] std::size_t count_escapes(BytesView data) const;
 
   [[nodiscard]] const TierCounters& counters() const { return counters_; }

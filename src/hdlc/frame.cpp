@@ -2,7 +2,6 @@
 
 #include "common/check.hpp"
 #include "crc/crc_table.hpp"
-#include "fastpath/stuff_fast.hpp"
 #include "hdlc/stuffing.hpp"
 
 namespace p5::hdlc {

@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "fastpath/escape_simd.hpp"
-#include "fastpath/stuff_fast.hpp"
 
 namespace p5::hdlc {
 
@@ -37,10 +36,6 @@ Bytes stuff(BytesView data, const Accm& accm) {
   out.reserve(2 * data.size() + fastpath::kStuffSlack);
   tx_engine(accm).stuff_append(out, data);
   return out;
-}
-
-std::size_t stuffing_expansion(BytesView data, const Accm& accm) {
-  return fastpath::count_escapes(data, accm);
 }
 
 DestuffResult destuff(BytesView data) {

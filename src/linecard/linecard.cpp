@@ -98,7 +98,7 @@ std::size_t LineCard::fabric_round() {
     // Publish the engine's dispatch-tier selections for this tributary.
     if (const auto* eng = ch.arena().cached_tx_engine()) {
       const fastpath::TierCounters& c = eng->counters();
-      telemetry_.channel(i).set_escape_tiers(c.scalar_calls, c.swar_calls, c.simd_calls);
+      telemetry_.channel(i).set_escape_tiers(c.scalar_calls, c.simd_calls);
     }
   }
   return forwarded;

@@ -15,7 +15,6 @@ ChannelSnapshot& ChannelSnapshot::operator+=(const ChannelSnapshot& o) {
   ingress_hwm = std::max(ingress_hwm, o.ingress_hwm);
   egress_hwm = std::max(egress_hwm, o.egress_hwm);
   escape_scalar += o.escape_scalar;
-  escape_swar += o.escape_swar;
   escape_simd += o.escape_simd;
   return *this;
 }
@@ -32,7 +31,6 @@ ChannelSnapshot ChannelTelemetry::read_once() const {
   s.ingress_hwm = ingress_hwm_.load(std::memory_order_acquire);
   s.egress_hwm = egress_hwm_.load(std::memory_order_acquire);
   s.escape_scalar = escape_scalar_.load(std::memory_order_acquire);
-  s.escape_swar = escape_swar_.load(std::memory_order_acquire);
   s.escape_simd = escape_simd_.load(std::memory_order_acquire);
   return s;
 }

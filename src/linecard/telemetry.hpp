@@ -33,10 +33,10 @@ struct ChannelSnapshot {
   u64 ingress_hwm = 0;       ///< peak source+fabric ring occupancy observed
   u64 egress_hwm = 0;        ///< peak egress ring (+spill) occupancy observed
   /// Escape-engine dispatch-tier selections for this channel's fabric-side
-  /// re-framing: how many stuff/destuff calls ran scalar (small frames),
-  /// SWAR, or SIMD. Totals mirrored from the arena engine after each burst.
+  /// re-framing: how many stuff/destuff calls ran scalar (small frames or
+  /// the scalar tier) or SIMD. Totals mirrored from the arena engine after
+  /// each burst.
   u64 escape_scalar = 0;
-  u64 escape_swar = 0;
   u64 escape_simd = 0;
 
   bool operator==(const ChannelSnapshot&) const = default;
@@ -66,9 +66,8 @@ class alignas(kCacheLineBytes) ChannelTelemetry {
   void note_egress_depth(std::size_t depth) { raise(egress_hwm_, depth); }
   /// Mirror the fabric arena engine's cumulative tier counters (stores, not
   /// adds: the engine already accumulates; single writer = fabric context).
-  void set_escape_tiers(u64 scalar, u64 swar, u64 simd) {
+  void set_escape_tiers(u64 scalar, u64 simd) {
     escape_scalar_.store(scalar, std::memory_order_relaxed);
-    escape_swar_.store(swar, std::memory_order_relaxed);
     escape_simd_.store(simd, std::memory_order_relaxed);
   }
 
@@ -95,7 +94,6 @@ class alignas(kCacheLineBytes) ChannelTelemetry {
   std::atomic<u64> ingress_hwm_{0};
   std::atomic<u64> egress_hwm_{0};
   std::atomic<u64> escape_scalar_{0};
-  std::atomic<u64> escape_swar_{0};
   std::atomic<u64> escape_simd_{0};
 };
 

@@ -35,7 +35,7 @@ namespace p5::core {
 
 enum class DeviceTier : u8 {
   kCycle,  ///< cycle-accurate P5 pipeline (conformance reference)
-  kFast,   ///< batch SWAR/SIMD datapath (production tier)
+  kFast,   ///< batch SIMD datapath (production tier)
 };
 
 [[nodiscard]] const char* to_string(DeviceTier tier);

@@ -1,10 +1,11 @@
 #include "testing/diff_oracle.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <sstream>
+#include <utility>
 
 #include "common/check.hpp"
-#include "fastpath/stuff_fast.hpp"
 #include "hdlc/delineation.hpp"
 #include "hdlc/stuffing.hpp"
 #include "p5/endpoint.hpp"
@@ -14,6 +15,17 @@
 namespace p5::testing {
 
 namespace {
+
+/// The pinned-fallback leg's tier: the pre-AVX2 fallback where the host has
+/// it, so an AVX2 host still exercises the SSSE3 kernels on every packet.
+fastpath::EscapeTier fallback_tier() {
+  return std::min(fastpath::EscapeTier::kSsse3, fastpath::detected_tier());
+}
+
+/// "SIMD(avx2)" / "pinned(ssse3)": names an engine leg in a diagnosis.
+std::string engine_label(const char* role, const fastpath::EscapeEngine& eng) {
+  return std::string(role) + "(" + fastpath::to_string(eng.tier()) + ")";
+}
 
 std::string hex_octet(u8 b) {
   std::ostringstream o;
@@ -151,6 +163,8 @@ DiffOracle::DiffOracle(hdlc::FrameConfig cfg, unsigned lanes)
       lanes_(lanes),
       scalar_crc16_(crc::kFcs16),
       scalar_crc32_(crc::kFcs32),
+      pinned_tx_(cfg.accm, fallback_tier()),
+      pinned_rx_(hdlc::Accm::sonet(), fallback_tier()),
       simd_tx_(cfg.accm),
       simd_rx_(hdlc::Accm::sonet()),
       gen_(std::make_unique<detail::GenRig>(lanes, cfg.accm)),
@@ -195,25 +209,20 @@ DiffOracle::EncodeResult DiffOracle::encode(u16 protocol, BytesView payload) {
       !d.empty())
     flunk(std::move(d));
 
-  // Layer 2: stuffed image — scalar vs SWAR (pinned) vs dispatched SIMD
+  // Layer 2: stuffed image — scalar vs pinned fallback vs dispatched SIMD
   // engine vs cycle-level Escape Generate.
   r.stuffed = fastpath::scalar::stuff(r.content, cfg_.accm);
-  Bytes stuffed_fast;
-  stuffed_fast.reserve(2 * r.content.size() + fastpath::kStuffSlack);
-  fastpath::stuff_append(stuffed_fast, r.content, cfg_.accm);
-  if (auto d = diff_bytes("scalar stuffed", r.stuffed, "SWAR stuffed", stuffed_fast);
-      !d.empty())
-    flunk(std::move(d));
-
-  Bytes stuffed_simd;
-  stuffed_simd.reserve(2 * r.content.size() + fastpath::kStuffSlack);
-  simd_tx_.stuff_append(stuffed_simd, r.content);
-  if (auto d = diff_bytes("scalar stuffed", r.stuffed,
-                          std::string("SIMD(") + fastpath::to_string(simd_tx_.tier()) +
-                              ") stuffed",
-                          stuffed_simd);
-      !d.empty())
-    flunk(std::move(d));
+  const std::pair<const char*, const fastpath::EscapeEngine*> engines[] = {
+      {"pinned", &pinned_tx_}, {"SIMD", &simd_tx_}};
+  for (const auto& [role, eng] : engines) {
+    Bytes stuffed;
+    stuffed.reserve(2 * r.content.size() + fastpath::kStuffSlack);
+    eng->stuff_append(stuffed, r.content);
+    if (auto d = diff_bytes("scalar stuffed", r.stuffed, engine_label(role, *eng) + " stuffed",
+                            stuffed);
+        !d.empty())
+      flunk(std::move(d));
+  }
 
   auto stuffed_p5 = gen_->run(r.content, lanes_);
   if (!stuffed_p5) {
@@ -247,26 +256,20 @@ DiffOracle::DecodeResult DiffOracle::decode(BytesView stuffed) {
   r.recovered = std::move(scalar_data);
   r.ok = scalar_ok;
 
-  Bytes swar_data;
-  swar_data.reserve(stuffed.size() + fastpath::kStuffSlack);
-  const bool swar_ok = fastpath::destuff_append(swar_data, stuffed);
-  if (swar_ok != scalar_ok)
-    flunk(std::string("dangling-escape verdicts differ: scalar ") +
-          (scalar_ok ? "ok" : "abort") + ", SWAR " + (swar_ok ? "ok" : "abort"));
-  if (auto d = diff_bytes("scalar destuffed", r.recovered, "SWAR destuffed", swar_data);
-      !d.empty())
-    flunk(std::move(d));
-
-  const std::string simd_label = std::string("SIMD(") + fastpath::to_string(simd_rx_.tier()) + ")";
-  Bytes simd_data;
-  simd_data.reserve(stuffed.size() + fastpath::kStuffSlack);
-  const bool simd_ok = simd_rx_.destuff_append(simd_data, stuffed);
-  if (simd_ok != scalar_ok)
-    flunk(std::string("dangling-escape verdicts differ: scalar ") +
-          (scalar_ok ? "ok" : "abort") + ", " + simd_label + " " + (simd_ok ? "ok" : "abort"));
-  if (auto d = diff_bytes("scalar destuffed", r.recovered, simd_label + " destuffed", simd_data);
-      !d.empty())
-    flunk(std::move(d));
+  const std::pair<const char*, const fastpath::EscapeEngine*> engines[] = {
+      {"pinned", &pinned_rx_}, {"SIMD", &simd_rx_}};
+  for (const auto& [role, eng] : engines) {
+    const std::string label = engine_label(role, *eng);
+    Bytes data;
+    data.reserve(stuffed.size() + fastpath::kStuffSlack);
+    const bool ok = eng->destuff_append(data, stuffed);
+    if (ok != scalar_ok)
+      flunk(std::string("dangling-escape verdicts differ: scalar ") +
+            (scalar_ok ? "ok" : "abort") + ", " + label + " " + (ok ? "ok" : "abort"));
+    if (auto d = diff_bytes("scalar destuffed", r.recovered, label + " destuffed", data);
+        !d.empty())
+      flunk(std::move(d));
+  }
 
   if (stuffed.empty()) return r;  // the byte sorter needs at least one octet
   auto det = det_->run(stuffed, lanes_);
@@ -301,28 +304,20 @@ DiffOracle::ReceiveResult DiffOracle::receive(BytesView raw_wire) {
   while (padded.size() % lanes_) padded.push_back(hdlc::kFlag);
   const BytesView wire(padded);
 
-  // Software stack, parameterised by destuff engine.
-  enum class Engine { kScalar, kSwar, kSimd };
-  auto software = [&](Engine engine) {
+  // Software stack, parameterised by destuff engine (nullptr: the scalar
+  // reference).
+  auto software = [&](const fastpath::EscapeEngine* engine) {
     std::vector<Delivery> good;
     hdlc::Delineator d([&](BytesView f) {
       Bytes data;
       bool ok = false;
-      switch (engine) {
-        case Engine::kScalar: {
-          auto res = fastpath::scalar::destuff(f);
-          data = std::move(res.first);
-          ok = res.second;
-          break;
-        }
-        case Engine::kSwar:
-          data.reserve(f.size() + fastpath::kStuffSlack);
-          ok = fastpath::destuff_append(data, f);
-          break;
-        case Engine::kSimd:
-          data.reserve(f.size() + fastpath::kStuffSlack);
-          ok = simd_rx_.destuff_append(data, f);
-          break;
+      if (engine) {
+        data.reserve(f.size() + fastpath::kStuffSlack);
+        ok = engine->destuff_append(data, f);
+      } else {
+        auto res = fastpath::scalar::destuff(f);
+        data = std::move(res.first);
+        ok = res.second;
       }
       if (!ok) return;
       auto parsed = hdlc::parse(cfg_, data);
@@ -332,9 +327,9 @@ DiffOracle::ReceiveResult DiffOracle::receive(BytesView raw_wire) {
     d.push(wire);
     return good;
   };
-  const std::vector<Delivery> sw_scalar = software(Engine::kScalar);
-  const std::vector<Delivery> sw_swar = software(Engine::kSwar);
-  const std::vector<Delivery> sw_simd = software(Engine::kSimd);
+  const std::vector<Delivery> sw_scalar = software(nullptr);
+  const std::vector<Delivery> sw_pinned = software(&pinned_rx_);
+  const std::vector<Delivery> sw_simd = software(&simd_rx_);
 
   // Cycle-accurate receiver: a whole P5 device configured to match.
   core::P5Config pc;
@@ -366,7 +361,7 @@ DiffOracle::ReceiveResult DiffOracle::receive(BytesView raw_wire) {
     r.agree = false;
     r.diagnosis = o.str();
   };
-  compare("SWAR engine", sw_swar);
+  compare("pinned fallback engine", sw_pinned);
   compare("dispatched SIMD engine", sw_simd);
   compare("p5 device", hw);
   r.delivered = sw_scalar;

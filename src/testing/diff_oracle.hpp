@@ -6,11 +6,13 @@
 //   * scalar_ref     — the seed-era byte/bit-at-a-time reference
 //                      (fastpath/scalar_ref), plus an independent scalar
 //                      re-implementation of the header/FCS assembly;
-//   * SWAR fastpath  — the word-parallel kernels in fastpath/stuff_fast,
-//                      called directly so they stay pinned to that tier;
+//   * pinned engine  — a fastpath::EscapeEngine pinned to the pre-AVX2
+//                      fallback, min(SSSE3, detected tier), so an AVX2 host
+//                      still runs the SSSE3 kernels on every packet;
 //   * SIMD engine    — the runtime-dispatched fastpath::EscapeEngine at its
-//                      best detected tier (AVX2/SSSE3/SSE2 where available),
-//                      the engine behind hdlc::stuff / hdlc::encode_into;
+//                      best detected tier (AVX2/SSSE3 where available,
+//                      otherwise scalar), the engine behind hdlc::stuff /
+//                      hdlc::encode_into;
 //   * p5 pipeline    — the cycle-level Escape Generate / Escape Detect byte
 //                      sorters (and, for full receive, a whole P5 device).
 //
@@ -104,7 +106,8 @@ class DiffOracle {
     std::string diagnosis;
   };
   /// Run a raw flag-delimited wire stream (clean or faulted) through the
-  /// software receive stack (scalar, SWAR, and dispatched-SIMD destuffers)
+  /// software receive stack (scalar, pinned-fallback and dispatched-SIMD
+  /// destuffers)
   /// and a cycle-accurate P5 device; all four must accept the same frames.
   /// Requires an uncompressed-header config (the P5 has no ACFC/PFC).
   /// The stream is padded with flag fill to a whole number of `lanes`-octet
@@ -197,6 +200,9 @@ class DiffOracle {
   unsigned lanes_;
   fastpath::scalar::ByteTableCrc scalar_crc16_;
   fastpath::scalar::ByteTableCrc scalar_crc32_;
+  /// The pinned-fallback engines, at min(SSSE3, detected tier).
+  fastpath::EscapeEngine pinned_tx_;
+  fastpath::EscapeEngine pinned_rx_;
   /// The dispatched engines under test, at the best tier this host detects.
   fastpath::EscapeEngine simd_tx_;
   fastpath::EscapeEngine simd_rx_;

@@ -1,8 +1,8 @@
 // Differential conformance: the same seeded packet stream through all four
-// datapath engines — scalar reference, SWAR fast path, runtime-dispatched
-// SIMD escape engine, cycle-level P5 pipeline — with byte-exact agreement
-// enforced at every layer by the DiffOracle. Any failure prints its case
-// seed; replay with
+// datapath engines — scalar reference, escape engine pinned to the pre-AVX2
+// fallback, runtime-dispatched SIMD escape engine, cycle-level P5 pipeline —
+// with byte-exact agreement enforced at every layer by the DiffOracle. Any
+// failure prints its case seed; replay with
 //   P5_TEST_SEED=0x... ctest -R <test>      (see TESTING.md)
 #include <gtest/gtest.h>
 
@@ -126,9 +126,9 @@ TEST(Conformance, DensityFlipAdversarialFramesAgreeAcrossAllEngines) {
   DiffOracle oracle;
 
   std::vector<Bytes> payloads;
-  // Flip points straddling the 16B SSE window, the 32B AVX2 window, the 64B
-  // SSE2 dirty-window hysteresis run, and the SWAR word, inside frames up to
-  // a little over two windows past the flip.
+  // Flip points straddling the 8-octet pshufb group, the 16B SSSE3 window,
+  // the 32B AVX2 window and a pair of AVX2 windows, inside frames up to a
+  // little over two windows past the flip.
   constexpr std::size_t kFlips[] = {1, 7, 8, 15, 16, 17, 31, 32, 33, 63, 64, 65};
   constexpr u8 kDense[] = {hdlc::kFlag, hdlc::kEscape};
   for (const std::size_t flip : kFlips) {
@@ -162,7 +162,7 @@ TEST(Conformance, DensityFlipAdversarialFramesAgreeAcrossAllEngines) {
 }
 
 // The same adversarial shapes through every tier this host can dispatch
-// (scalar, SWAR, SSE2, SSSE3, AVX2 as available): each pinned-tier engine
+// (scalar, SSSE3, AVX2 as available): each pinned-tier engine
 // must reproduce the scalar reference byte-for-byte on both directions.
 TEST(Conformance, DensityFlipFramesAgreeAtEveryDispatchTier) {
   const hdlc::Accm accm = hdlc::Accm::sonet();

@@ -1,18 +1,17 @@
-// Differential and property tests for the word-parallel software fast path
-// (src/fastpath): every fast kernel must be byte-identical to the seed-era
-// scalar reference it replaced, across randomized inputs including all-escape
-// payloads and every boundary length 1..16 where SWAR word/tail handling
-// changes shape.
+// Differential and property tests for the software fast path (src/fastpath):
+// every fast kernel must be byte-identical to the seed-era scalar reference
+// it replaced, across randomized inputs including all-escape payloads and
+// every boundary length 1..16 where the small-frame cutoff and the vector
+// tail handling change shape.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "crc/crc_reference.hpp"
 #include "crc/crc_table.hpp"
+#include "fastpath/escape_simd.hpp"
 #include "fastpath/scalar_ref.hpp"
 #include "fastpath/scrambler_tables.hpp"
 #include "fastpath/slice_crc.hpp"
-#include "fastpath/stuff_fast.hpp"
-#include "fastpath/swar.hpp"
 #include "hdlc/frame.hpp"
 #include "hdlc/stuffing.hpp"
 #include "sonet/scrambler.hpp"
@@ -22,8 +21,8 @@ namespace {
 
 using hdlc::Accm;
 
-/// Payload mix that stresses the SWAR scan: escape-free runs, flags, escapes,
-/// and control characters in random proportions.
+/// Payload mix that stresses the escape scan: escape-free runs, flags,
+/// escapes, and control characters in random proportions.
 Bytes escape_mix(Xoshiro256& rng, std::size_t len, double density) {
   Bytes p;
   p.reserve(len);
@@ -95,35 +94,6 @@ TEST(SliceCrc, ResidueCheckStillHolds) {
   }
 }
 
-// ---------------------------------------------------------------- SWAR scan
-
-TEST(Swar, PredicatesFlagExactBytes) {
-  for (const u8 b : {0x00, 0x01, 0x1F, 0x20, 0x7C, 0x7D, 0x7E, 0x7F, 0x80, 0xFF}) {
-    u8 buf[8] = {0x42, 0x42, 0x42, 0x42, 0x42, 0x42, 0x42, 0x42};
-    buf[3] = b;
-    const u64 v = load_word(buf);
-    EXPECT_EQ(eq_bytes(v, hdlc::kEscape) != 0, b == hdlc::kEscape);
-    EXPECT_EQ(eq_bytes(v, hdlc::kFlag) != 0, b == hdlc::kFlag);
-    EXPECT_EQ(lt_bytes(v, 0x20) != 0, b < 0x20);
-  }
-}
-
-TEST(Swar, FindNextEscapeMatchesScalarScan) {
-  Xoshiro256 rng(5);
-  for (const Accm accm : {Accm::sonet(), Accm::async_default(), Accm(0x000A0005u)}) {
-    for (int trial = 0; trial < 200; ++trial) {
-      const Bytes data = escape_mix(rng, rng.range(0, 64), 0.15);
-      std::size_t expected = data.size();
-      for (std::size_t i = 0; i < data.size(); ++i)
-        if (accm.must_escape(data[i])) {
-          expected = i;
-          break;
-        }
-      EXPECT_EQ(find_next_escape(data.data(), 0, data.size(), accm), expected);
-    }
-  }
-}
-
 // ---------------------------------------------------------------- stuffing
 
 class StuffDensity : public ::testing::TestWithParam<double> {};
@@ -141,9 +111,9 @@ TEST_P(StuffDensity, SwarStuffByteIdenticalToScalar) {
       const Bytes p = escape_mix(rng, len, density);
       const Bytes fast = hdlc::stuff(p, accm);
       EXPECT_EQ(fast, scalar::stuff(p, accm)) << "len " << len;
-      EXPECT_EQ(fast.size(), p.size() + hdlc::stuffing_expansion(p, accm));
+      EXPECT_EQ(fast.size(), p.size() + EscapeEngine(accm).count_escapes(p));
 
-      // Round trip back through the SWAR destuffer.
+      // Round trip back through the dispatched destuffer.
       const auto rt = hdlc::destuff(fast);
       EXPECT_TRUE(rt.ok);
       EXPECT_EQ(rt.data, p);
@@ -154,11 +124,11 @@ TEST_P(StuffDensity, SwarStuffByteIdenticalToScalar) {
 INSTANTIATE_TEST_SUITE_P(Densities, StuffDensity, ::testing::Values(0.0, 1.0 / 128, 0.25, 1.0));
 
 TEST(Stuff, RandomAccmMasksByteIdenticalToScalar) {
-  // The SWAR stuffer takes a different path when the negotiated ACCM maps
-  // any control characters (accm.map() != 0): the word scan must then flag
-  // bytes < 0x20 and filter them through the mask, not just flag/escape.
-  // Fuzz that branch across random masks, plus the two extremes: the empty
-  // map (PPP-over-SONET, no controls escaped) and the all-controls map.
+  // With a negotiated ACCM that maps control characters (accm.map() != 0)
+  // the vector classifiers must look octets < 0x20 up in the ACCM nibble
+  // tables, not just match flag/escape. Fuzz that path at every tier this
+  // host can run, across random masks plus the two extremes: the empty map
+  // (PPP-over-SONET, no controls escaped) and the all-controls map.
   Xoshiro256 rng(20);
   std::vector<Accm> masks = {Accm(0), Accm(0xFFFFFFFFu)};
   for (int i = 0; i < 14; ++i) masks.emplace_back(static_cast<u32>(rng.next()));
@@ -167,23 +137,30 @@ TEST(Stuff, RandomAccmMasksByteIdenticalToScalar) {
       // High control-character density so random masks actually get hits.
       const Bytes p = escape_mix(rng, rng.range(0, 300), 0.35);
       const Bytes expected = scalar::stuff(p, accm);
+      for (const EscapeTier tier : available_tiers()) {
+        const EscapeEngine eng(accm, tier);
+        Bytes fast;
+        fast.reserve(2 * p.size() + kStuffSlack);
+        eng.stuff_append(fast, p);
+        ASSERT_EQ(fast, expected) << to_string(tier) << " map 0x" << std::hex << accm.map();
+        EXPECT_EQ(p.size() + eng.count_escapes(p), expected.size())
+            << to_string(tier) << " count_escapes disagrees with scalar, map 0x" << std::hex
+            << accm.map();
 
-      const Bytes fast = hdlc::stuff(p, accm);
-      EXPECT_EQ(fast, expected) << "map 0x" << std::hex << accm.map();
-      EXPECT_EQ(p.size() + hdlc::stuffing_expansion(p, accm), expected.size())
-          << "count_escapes disagrees with scalar, map 0x" << std::hex << accm.map();
+        // The fused CRC+stuff kernel must classify identically.
+        Bytes fused;
+        fused.reserve(2 * p.size() + kStuffSlack);
+        const u32 state =
+            eng.stuff_crc_append(fused, p, crc::fcs32().slicer(), crc::kFcs32.init);
+        EXPECT_EQ(fused, expected) << to_string(tier);
+        EXPECT_EQ(state, crc::fcs32().update(crc::kFcs32.init, p)) << to_string(tier);
 
-      // The fused CRC+stuff pass shares the same escape scan.
-      Bytes fused;
-      const u32 state =
-          stuff_crc_append(fused, p, accm, crc::fcs32().slicer(), crc::kFcs32.init);
-      EXPECT_EQ(fused, expected);
-      EXPECT_EQ(state, crc::fcs32().update(crc::kFcs32.init, p));
-
-      // Destuffing is mask-independent; any stuffed stream must round-trip.
-      const auto rt = hdlc::destuff(fast);
-      EXPECT_TRUE(rt.ok);
-      EXPECT_EQ(rt.data, p);
+        // Destuffing is mask-independent; any stuffed stream must round-trip.
+        Bytes back;
+        back.reserve(fast.size() + kStuffSlack);
+        EXPECT_TRUE(eng.destuff_append(back, fast)) << to_string(tier);
+        EXPECT_EQ(back, p) << to_string(tier);
+      }
     }
   }
 }
@@ -221,7 +198,7 @@ TEST(Stuff, AllEscapePayloadReservesExactly) {
   const Bytes p(4096, hdlc::kFlag);
   const Bytes out = hdlc::stuff(p);
   EXPECT_EQ(out.size(), 2 * p.size());
-  EXPECT_EQ(hdlc::stuffing_expansion(p), p.size());
+  EXPECT_EQ(EscapeEngine(Accm::sonet()).count_escapes(p), p.size());
 }
 
 // ---------------------------------------------------------------- fused framer
@@ -297,8 +274,9 @@ TEST(StuffCrcAppend, FusedStateMatchesSeparatePasses) {
   for (int trial = 0; trial < 100; ++trial) {
     const Bytes data = escape_mix(rng, rng.range(0, 600), 0.2);
     Bytes fused_out;
-    const u32 fused_state = stuff_crc_append(fused_out, data, Accm::sonet(),
-                                             crc::fcs32().slicer(), crc::kFcs32.init);
+    const u32 fused_state = EscapeEngine(Accm::sonet())
+                                .stuff_crc_append(fused_out, data, crc::fcs32().slicer(),
+                                                  crc::kFcs32.init);
     EXPECT_EQ(fused_out, scalar::stuff(data));
     EXPECT_EQ(fused_state, crc::fcs32().update(crc::kFcs32.init, data));
   }
@@ -433,8 +411,6 @@ TEST(EscapeEngine, SmallFrameCutoffRoutesToScalarAndCountersTrack) {
   const TierCounters& c = eng.counters();
   if (eng.tier() == EscapeTier::kScalar) {
     EXPECT_EQ(c.scalar_calls, 2u);
-  } else if (eng.tier() == EscapeTier::kSwar) {
-    EXPECT_EQ(c.swar_calls, 1u);
   } else {
     EXPECT_EQ(c.simd_calls, 1u);
     EXPECT_GT(c.clean_windows, 0u);  // the all-clean 1500B frame

@@ -4,8 +4,8 @@
 // Every vector here was computed independently of this codebase (catalogue
 // CRC check values; frames assembled by hand per RFC 1662 §3/§4 and checked
 // against zlib's CRC-32), so these tests anchor all three datapath engines —
-// scalar reference, SWAR fast path, and the cycle-level byte sorters — to
-// the standard rather than to each other.
+// scalar reference, dispatched escape engine, and the cycle-level byte
+// sorters — to the standard rather than to each other.
 #include <gtest/gtest.h>
 
 #include <utility>
