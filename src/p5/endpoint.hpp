@@ -85,8 +85,9 @@ class SonetEndpoint {
   virtual void drain_rx() {}
 
   // ---- introspection (the tier-equivalence surface) ----
-  /// TX gate for paced pullers: true while datagrams are queued or a frame
-  /// is mid-transmission. Pullers should linger ~2 frames after it clears.
+  /// TX gate for paced pullers, exact in both tiers: true until every octet
+  /// of every admitted frame, closing flag included, has left in a pulled
+  /// SONET frame. Pulling `while (tx_pending())` leaves nothing behind.
   [[nodiscard]] virtual bool tx_pending() const = 0;
   /// Datagrams admitted but not yet fetched by the transmitter.
   [[nodiscard]] virtual std::size_t tx_queue_depth() const = 0;

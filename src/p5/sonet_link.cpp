@@ -18,11 +18,17 @@ P5SonetEndpoint::P5SonetEndpoint(const P5Config& cfg, sonet::StsSpec sts)
   });
 }
 
-Bytes P5SonetEndpoint::pull_frame() { return framer_->next_frame(); }
+Bytes P5SonetEndpoint::pull_frame() {
+  // A pull that starts with TxControl busy re-arms the tail; an idle one spends a frame.
+  if (dev_->tx_control().pending() > 0) {
+    tx_tail_ = kTxTailFrames;
+  } else if (tx_tail_ > 0) {
+    --tx_tail_;
+  }
+  return framer_->next_frame();
+}
 
 void P5SonetEndpoint::push_line(BytesView octets) { deframer_->push(octets); }
-
-bool P5SonetEndpoint::tx_pending() const { return dev_->tx_control().pending() > 0; }
 
 P5SonetLink::P5SonetLink(const P5Config& cfg, sonet::StsSpec sts,
                          const sonet::LineConfig& line_cfg, DeviceTier tier)

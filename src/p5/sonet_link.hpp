@@ -72,11 +72,13 @@ class P5SonetEndpoint final : public SonetEndpoint {
 
   void drain_rx() override { dev_->drain_rx(); }
 
-  /// TX gate for paced pullers: true while datagrams are queued in shared
-  /// memory or a frame is mid-transmission. After it goes false the
-  /// pipeline still holds a handful of trailing octets (FCS, closing flag),
-  /// so pullers should linger for roughly one more SONET frame.
-  [[nodiscard]] bool tx_pending() const override;
+  /// Exact TX gate (see SonetEndpoint): true while datagrams are queued in
+  /// shared memory or a frame is mid-transmission, and for kTxTailFrames
+  /// pulls after that, which carry the octets (FCS, closing flag) still in
+  /// the pipeline stages when TxControl goes idle.
+  [[nodiscard]] bool tx_pending() const override {
+    return dev_->tx_control().pending() > 0 || tx_tail_ > 0;
+  }
 
   [[nodiscard]] std::size_t tx_queue_depth() const override {
     return dev_->memory().tx_pending();
@@ -104,6 +106,10 @@ class P5SonetEndpoint final : public SonetEndpoint {
   Bytes rx_scratch_;
   std::unique_ptr<sonet::SonetFramer> framer_;
   std::unique_ptr<sonet::SonetDeframer> deframer_;
+
+  /// SONET frames of line time that flush the pipeline residue.
+  static constexpr unsigned kTxTailFrames = 2;
+  unsigned tx_tail_ = 0;  ///< pulls left before tx_pending() may clear
 };
 
 class P5SonetLink {

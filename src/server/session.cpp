@@ -110,32 +110,11 @@ void Session::reap_and_route() {
 
 std::size_t Session::slice() {
   if (dead_ || ep_ == nullptr) return 0;
-  std::size_t sent = 0;
-  while (sent < env_.frames_per_pump) {
-    if (!conn_->writable()) {
-      // Watermark backpressure: frames stay in the device until the socket
-      // drains, same coupling the Tunnel uses.
-      if (ep_->tx_pending() || tx_linger_ > 0) env_.transport_tel->backpressure_stall();
-      break;
-    }
-    Bytes frame;
-    if (ep_->tx_pending()) {
-      tx_linger_ = 2;  // flush trailing FCS/flag octets once TX goes idle
-      frame = ep_->pull_frame();
-    } else if (tx_linger_ > 0) {
-      --tx_linger_;
-      frame = ep_->pull_frame();
-    } else {
-      break;
-    }
-    if (!conn_->send_frame(frame)) break;  // write error closed us mid-slice
-    ++sent;
-  }
-  if (conn_->open()) {
-    conn_->flush();  // the whole slice rides one scatter-gather syscall
-    env_.transport_tel->note_queue_depth(conn_->queued_bytes());
-  }
-  return sent;
+  // The Tunnel's endpoint pacing: pull exactly while tx_pending(); under
+  // watermark backpressure frames stay in the device until the socket drains.
+  return conn_->send_slice(
+      env_.frames_per_pump, [this] { return ep_->tx_pending() ? ep_->pull_frame() : Bytes{}; },
+      [this] { return ep_->tx_pending(); });
 }
 
 void Session::mark_dead() {

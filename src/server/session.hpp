@@ -12,8 +12,8 @@
 // whole burst is in the deframer, one drain_rx() + reap that dispositions
 // every decoded datagram (echo / uplink handoff / sink — see RouteMode).
 // Batched or not, per-chunk decisions and dispositions are identical.
-// TX path per slice: the tx_pending()-gated, 2-frame-linger paced pull the
-// Tunnel binding uses, into the conn until its watermark pushes back.
+// TX path per slice: Conn::send_slice pulling exactly while tx_pending(),
+// the pacing the Tunnel binding uses, until the conn's watermark pushes back.
 //
 // A Session never destroys its conn from the conn's own callback stack:
 // on_closed only marks dead_, and the shard sweeps dead sessions after its
@@ -99,7 +99,6 @@ class Session {
   bool awaiting_hello_ = false;
   bool dead_ = false;
   bool global_slot_held_ = false;
-  unsigned tx_linger_ = 0;  ///< trailing frames after tx_pending() clears
 };
 
 }  // namespace p5::server

@@ -373,9 +373,9 @@ DiffOracle::ReceiveResult DiffOracle::receive(BytesView raw_wire) {
 namespace {
 
 /// Drain a transmit endpoint: interleave submits with pull_frame so the
-/// 64-entry device tx ring never wedges, then flush the tail (tx_pending
-/// clears with the closing FCS/flag octets still inside the cycle pipeline;
-/// three more SONET frames of line time flushes either tier).
+/// 64-entry device tx ring never wedges, then pull exactly while
+/// tx_pending(). No extra frames follow, so a tier whose gate clears before
+/// its last closing flag has left loses that frame and fails the leg.
 Bytes tier_pull_stream(core::SonetEndpoint& ep,
                        std::span<const DiffOracle::TierPacket> packets) {
   Bytes stream;
@@ -392,7 +392,6 @@ Bytes tier_pull_stream(core::SonetEndpoint& ep,
     (void)ep.submit_frame(std::move(req));
   }
   while (ep.tx_pending()) append(stream, ep.pull_frame());
-  for (int i = 0; i < 3; ++i) append(stream, ep.pull_frame());
   return stream;
 }
 

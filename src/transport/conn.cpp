@@ -60,6 +60,25 @@ bool Conn::deliver_frames(std::span<const BytesView> frames, bool batched) {
   return open();
 }
 
+std::size_t Conn::send_slice(std::size_t budget, const std::function<Bytes()>& pull,
+                             const std::function<bool()>& ready) {
+  std::size_t sent = 0;
+  while (sent < budget) {
+    if (!writable()) {
+      if (ready()) stats_.backpressure_stall();
+      break;
+    }
+    const Bytes chunk = pull();
+    if (chunk.empty() || !send_frame(chunk)) break;  // dry, or a write error closed us
+    ++sent;
+  }
+  if (open()) {
+    flush();
+    stats_.note_queue_depth(queued_bytes());
+  }
+  return sent;
+}
+
 // ---------------------------------------------------------------- StreamConn
 
 StreamConn::StreamConn(EventLoop& loop, TransportTelemetry& stats, ConnConfig cfg, Fd fd,

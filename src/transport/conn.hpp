@@ -86,6 +86,13 @@ class Conn {
   /// explicit flushes the event loop's writability events drain the queue.
   virtual void flush() {}
 
+  /// One paced TX slice, shared by Tunnel::pump and server::Session::slice:
+  /// queue up to `budget` chunks from `pull` until it runs dry, a send fails
+  /// or the watermark refuses (a backpressure stall when `ready()` says
+  /// chunks wait upstream), then flush them in one syscall. Returns the count.
+  std::size_t send_slice(std::size_t budget, const std::function<Bytes()>& pull,
+                         const std::function<bool()>& ready);
+
   [[nodiscard]] virtual bool open() const = 0;
   /// True when send_frame would accept a chunk right now.
   [[nodiscard]] virtual bool writable() const = 0;

@@ -11,24 +11,14 @@ namespace p5::transport {
 // ------------------------------------------------------------ TunnelBinding
 
 TunnelBinding TunnelBinding::endpoint(core::SonetEndpoint& ep) {
-  // Pacing: pull only while the endpoint has traffic queued, then linger for
-  // two more SONET frames so the trailing FCS/closing-flag octets flush.
-  // Without the gate an idle endpoint would saturate the wire with flag fill.
-  auto linger = std::make_shared<unsigned>(0);
+  // Pacing: pull only while the endpoint has traffic in flight. tx_pending()
+  // is exact (it covers every admitted frame's closing flag), so the last
+  // pull carries the burst's tail and an idle endpoint sends nothing instead
+  // of saturating the wire with flag fill.
   TunnelBinding b;
-  b.pull = [&ep, linger]() -> Bytes {
-    if (ep.tx_pending()) {
-      *linger = 2;
-      return ep.pull_frame();
-    }
-    if (*linger > 0) {
-      --*linger;
-      return ep.pull_frame();
-    }
-    return {};
-  };
+  b.pull = [&ep]() -> Bytes { return ep.tx_pending() ? ep.pull_frame() : Bytes{}; };
   b.pull_raw = [&ep] { return ep.pull_frame(); };
-  b.ready = [&ep, linger] { return ep.tx_pending() || *linger > 0; };
+  b.ready = [&ep] { return ep.tx_pending(); };
   b.push = [&ep](BytesView v) {
     ep.push_line(v);
     return true;
@@ -262,31 +252,17 @@ std::size_t Tunnel::pump() {
     if (binding_.step) binding_.step();
   }
   if (state_ != TunnelState::kConnected || !conn_) return 0;
-  std::size_t sent = 0;
-  while (sent < cfg_.frames_per_pump) {
-    if (!conn_->writable()) {
-      // The watermark is the coupling point: chunks stay in the binding's
-      // rings (SpscRing flow control) instead of ballooning the socket queue.
-      if (binding_.ready && binding_.ready()) tel_.backpressure_stall();
-      break;
-    }
+  const std::function<bool()> ready = [this] { return binding_.ready && binding_.ready(); };
+  const std::function<Bytes()> pull = [this]() -> Bytes {
     Bytes chunk = binding_.pull ? binding_.pull() : Bytes{};
-    if (chunk.empty()) {
-      if (cfg_.keepalive_ms != 0 && binding_.pull_raw &&
-          loop_.now_ms() - last_tx_ms_ >= cfg_.keepalive_ms) {
-        chunk = binding_.pull_raw();
-      }
-      if (chunk.empty()) break;
+    if (chunk.empty() && cfg_.keepalive_ms != 0 && binding_.pull_raw &&
+        loop_.now_ms() - last_tx_ms_ >= cfg_.keepalive_ms) {
+      chunk = binding_.pull_raw();
     }
-    if (!conn_->send_frame(chunk)) break;  // write error closed us mid-slice
-    last_tx_ms_ = loop_.now_ms();
-    ++sent;
-  }
-  if (conn_) {
-    conn_->flush();  // the whole slice rides one scatter-gather syscall
-    tel_.note_queue_depth(conn_->queued_bytes());
-  }
-  return sent;
+    if (!chunk.empty()) last_tx_ms_ = loop_.now_ms();
+    return chunk;
+  };
+  return conn_->send_slice(cfg_.frames_per_pump, pull, ready);
 }
 
 void Tunnel::deliver(std::span<const BytesView> chunks) {

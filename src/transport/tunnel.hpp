@@ -3,10 +3,10 @@
 //
 // The bound object is abstracted as a TunnelBinding — four pull/push hooks
 // plus an optional housekeeping step — with two stock flavours:
-//   * endpoint() — a core::P5SonetEndpoint. Chunks are whole scrambled
-//     STS-Nc frames; pull is paced by the endpoint's tx_pending() gate (with
-//     a short linger so trailing FCS/flag octets flush) instead of letting
-//     flag fill saturate the wire.
+//   * endpoint() — a core::SonetEndpoint of either tier. Chunks are whole
+//     scrambled STS-Nc frames; pull runs exactly while the endpoint's
+//     tx_pending() gate is true, which covers every admitted frame up to
+//     its closing flag, instead of letting flag fill saturate the wire.
 //   * channel() — a linecard::Channel's fabric edge. Chunks are encoded
 //     FrameDescs ([u16 protocol BE][u8 fabric_dest][u8 source_channel]
 //     [payload]), extending the MAPOS fabric across processes.
@@ -112,10 +112,10 @@ class Tunnel {
 
   void start();
 
-  /// One TX slice: step the binding, then move up to frames_per_pump chunks
-  /// from the binding into the connection — stopping (and counting a
-  /// backpressure stall) the moment the write queue hits its watermark.
-  /// Returns chunks handed to the connection.
+  /// One TX slice: step the binding, then Conn::send_slice up to
+  /// frames_per_pump chunks from the binding into the connection (keepalive
+  /// fill from pull_raw when TX has idled keepalive_ms). Returns chunks
+  /// handed to the connection.
   std::size_t pump();
 
   /// Graceful goodbye: stop pulling, flush the queue, half-close, kClosed.

@@ -14,6 +14,8 @@
 //   * Churn: kill/reconnect waves to 1k+ accepts (P5_SERVER_CHURN overrides
 //     the target) leave zero leaked sessions and balanced books.
 //   * Threaded: run()/stop() under live echo traffic, TSan/ASan clean.
+//   * Pacing: a session pulls exactly while its endpoint's tx_pending() is
+//     true, so an isolated small echo costs one SONET chunk each way.
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -212,6 +214,42 @@ TEST(ServerShard, DeterministicShardCountInvariance) {
     EXPECT_EQ(n.delivered, one.delivered) << shards << " shards";
     EXPECT_EQ(n.tenant, one.tenant) << shards << " shards";
   }
+}
+
+TEST(ServerShard, EchoSendsOneChunkPerIsolatedDatagram) {
+  // A 300 B datagram takes one STS-3c chunk, or two when its frame straddles
+  // an SPE boundary; the session sends those and stops, instead of trailing
+  // flag fill after every burst.
+  constexpr u32 kDatagrams = 200;
+  ServerConfig cfg;
+  cfg.listeners = {{0, 42u}};
+  cfg.route = RouteMode::kEcho;
+  TunnelServer srv(cfg);
+  srv.enable_manual_time();
+  ASSERT_TRUE(srv.start());
+  EventLoop cloop;
+  cloop.enable_manual_time();
+  Client client(cloop, srv.port(), std::nullopt, {}, core::DeviceTier::kFast);
+  DetDriver drv{srv, cloop, {&client}};
+  ASSERT_TRUE(drv.drive_until(4000, [&] { return client.tun->established(); }));
+
+  Xoshiro256 rng(77);
+  for (u32 i = 0; i < kDatagrams; ++i) {
+    const Bytes p = stamped_payload(0, i, 300, rng);
+    ASSERT_TRUE(client.ep->submit_datagram(0x0021, p));
+    std::optional<core::RxDelivery> echo;
+    ASSERT_TRUE(drv.drive_until(200, [&] {
+      echo = client.ep->reap_datagram();
+      return echo.has_value();
+    })) << "datagram " << i;
+    EXPECT_EQ(echo->payload, p);
+  }
+  drv.iterate(10);  // nothing left to send either way
+  const transport::TransportSnapshot st = srv.transport_stats();
+  EXPECT_GE(st.frames_out, kDatagrams);
+  EXPECT_LT(static_cast<double>(st.frames_out), 1.2 * kDatagrams);
+  EXPECT_EQ(st.frames_lost, 0u);
+  srv.stop();
 }
 
 // ------------------------------------------------- cross-shard handoff

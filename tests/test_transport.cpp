@@ -13,6 +13,10 @@
 //    loss (testing::FaultSpec::drop as the rx tap) costs resyncs, never
 //    corrupt deliveries; a linecard::Channel's fabric edge bridges across
 //    the socket; the backoff budget fails closed.
+//  * TX gate: SonetEndpoint::tx_pending() is exact in both tiers — pulling
+//    only while it is true hands a fresh peer every datagram whole, at every
+//    position of the closing flag in the SPE — so a Tunnel sends one SONET
+//    chunk per isolated small datagram, not a trail of flag fill.
 //
 // The tunnel tests run at both device tiers: the TunnelHarness default is a
 // P5_DEVICE_TIER selection point (the CI matrix forces the whole suite
@@ -23,10 +27,12 @@
 
 #include <atomic>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "hdlc/frame.hpp"
 #include "linecard/channel.hpp"
 #include "linecard/telemetry.hpp"
 #include "p5/sonet_link.hpp"
@@ -579,6 +585,108 @@ TEST(TransportTunnel, BackoffBudgetFailsClosed) {
   const TransportSnapshot s = tun.stats();
   EXPECT_GE(s.backoff_waits, 1u);
   EXPECT_EQ(s.connects, 0u);
+}
+
+// ------------------------------------------------------------- TX gate
+
+constexpr std::size_t kTxGateMaxPayload = 2400;
+
+
+/// One datagram on a fresh endpoint, pulled only while tx_pending(), must
+/// reach a fresh peer whole, for every payload length in [lo, hi). The fast
+/// tier pulls no frame beyond the one carrying the closing flag. `wires`,
+/// when given, collects the wire image lengths the sweep covered.
+void sweep_tx_gate(core::DeviceTier tier, std::size_t lo, std::size_t hi,
+                   std::set<std::size_t>* wires = nullptr) {
+  core::P5Config cfg;
+  cfg.max_payload = kTxGateMaxPayload;
+  hdlc::FrameConfig fcfg;
+  fcfg.accm = cfg.accm;
+  fcfg.max_payload = cfg.max_payload;
+  const std::size_t spe = sonet::kSts3c.payload_bytes_per_frame();
+  Xoshiro256 rng(23);
+  const Bytes body = stamped_payload(rng, 0, kTxGateMaxPayload);
+  for (std::size_t len = lo; len < hi; ++len) {
+    const Bytes payload(body.begin(), body.begin() + static_cast<std::ptrdiff_t>(len));
+    const std::size_t wire = hdlc::build_wire_frame(fcfg, 0x0021, payload).size();
+    if (wires) wires->insert(wire);
+
+    auto tx = core::make_sonet_endpoint(tier, cfg, sonet::kSts3c);
+    auto rx = core::make_sonet_endpoint(tier, cfg, sonet::kSts3c);
+    ASSERT_TRUE(tx->submit_datagram(0x0021, payload));
+    std::size_t pulls = 0;
+    while (tx->tx_pending()) {
+      rx->push_line(tx->pull_frame());
+      ASSERT_LT(++pulls, 16u) << "payload " << len;
+    }
+    rx->drain_rx();
+    const auto d = rx->reap_datagram();
+    ASSERT_TRUE(d.has_value()) << "payload " << len << ", wire image " << wire << " B";
+    ASSERT_EQ(d->payload, payload) << "payload " << len;
+    ASSERT_EQ(rx->rx_counters().frames_bad, 0u) << "payload " << len;
+    if (tier == core::DeviceTier::kFast) {
+      ASSERT_EQ(pulls, (wire + spe - 1) / spe) << "payload " << len;
+    }
+  }
+}
+
+TEST(TransportTxGate, FastTierTxPendingCoversEveryClosingFlag) {
+  // Every length from 0 to 2400 B walks the closing flag across the 2340 B
+  // STS-3c SPE boundary: the images ending one octet short of it, exactly on
+  // it and one octet past it are all in the sweep.
+  std::set<std::size_t> wires;
+  sweep_tx_gate(core::DeviceTier::kFast, 0, kTxGateMaxPayload + 1, &wires);
+  const std::size_t spe = sonet::kSts3c.payload_bytes_per_frame();
+  EXPECT_TRUE(wires.count(spe - 1) && wires.count(spe) && wires.count(spe + 1));
+}
+
+// The cycle model runs ~400k octets/s, so its sweep is cut into four cases
+// that ctest runs in parallel; together they cover every length 0..2400 B.
+TEST(TransportTxGate, CycleTierTxPendingCoversEveryClosingFlag0To599) {
+  sweep_tx_gate(core::DeviceTier::kCycle, 0, 600);
+}
+
+TEST(TransportTxGate, CycleTierTxPendingCoversEveryClosingFlag600To1199) {
+  sweep_tx_gate(core::DeviceTier::kCycle, 600, 1200);
+}
+
+TEST(TransportTxGate, CycleTierTxPendingCoversEveryClosingFlag1200To1799) {
+  sweep_tx_gate(core::DeviceTier::kCycle, 1200, 1800);
+}
+
+TEST(TransportTxGate, CycleTierTxPendingCoversEveryClosingFlag1800To2400) {
+  sweep_tx_gate(core::DeviceTier::kCycle, 1800, kTxGateMaxPayload + 1);
+}
+
+TEST(TransportTxGate, FastTierUdpSendsOneChunkPerIsolatedDatagram) {
+  // An isolated 300 B datagram takes one STS-3c chunk, or two when its frame
+  // straddles an SPE boundary; with an exact gate the tunnel sends those and
+  // stops, instead of trailing flag fill.
+  constexpr std::size_t kDatagrams = 1000;
+  TunnelHarness h(/*udp=*/true, {}, core::DeviceTier::kFast);
+  Xoshiro256 rng(29);
+  std::size_t delivered = 0;
+  for (u32 i = 0; i < kDatagrams; ++i) {
+    const Bytes p = stamped_payload(rng, i, 296);
+    ASSERT_TRUE(h.ep_b->submit_datagram(0x0021, p));
+    bool got = false;
+    for (int guard = 0; guard < 2000 && !got; ++guard) {
+      h.pump();
+      while (auto d = h.ep_a->reap_datagram()) {
+        EXPECT_EQ(d->payload, p);
+        got = true;
+      }
+    }
+    ASSERT_TRUE(got) << "datagram " << i;
+    ++delivered;
+  }
+  for (int i = 0; i < 10; ++i) h.pump(0);  // nothing left to send
+  EXPECT_EQ(delivered, kDatagrams);
+  EXPECT_FALSE(h.ep_b->tx_pending());
+  EXPECT_EQ(h.ep_a->rx_counters().frames_bad, 0u);
+  const TransportSnapshot sb = h.tun_b->stats();
+  EXPECT_LT(static_cast<double>(sb.frames_out), 1.2 * kDatagrams);
+  EXPECT_GE(sb.frames_out, kDatagrams);
 }
 
 TEST(TransportTunnel, BackpressureStallsAreCounted) {
